@@ -10,6 +10,8 @@ the numbers to ``BENCH_perf.json``:
 * Figure 8 VDI replay — serial vs 4 workers.
 * Page digest throughput — the byte-faithful sender's per-page copy
   loop vs the zero-copy chunked pass.
+* Page synthesis — ``PageStore`` content-id → page expansion against a
+  raw ``hashlib.md5`` pass over the same pages (``synth.over_md5``).
 
 Wall-clock parallel speedup is bounded by the machine, so the snapshot
 records ``cpu_count`` next to every number: on a single-core CI runner
@@ -69,6 +71,7 @@ CHECKED_RATIOS = (
     "fig8.parallel_speedup",
     "digest.zero_copy_speedup",
     "pipeline.speedup",
+    "synth.over_md5",
 )
 
 _ANNOUNCE_WIRE_FACTOR = 1.25
@@ -80,6 +83,9 @@ slightly-longer pole and digesting rides entirely under it."""
 _PIPELINE_REPEATS = 3
 """Timed migrations per mode; the best run is reported (standard
 min-of-N to shed scheduler noise on shared CI runners)."""
+
+_SYNTH_REPEATS = 5
+"""Alternating synthesis/MD5 passes per side in the synthesis section."""
 
 
 def _timed(fn) -> tuple[float, object]:
@@ -226,6 +232,40 @@ def _bench_digest(pages: int) -> dict:
     }
 
 
+def _bench_synth(pages: int) -> dict:
+    """PageStore synthesis throughput as a fraction of raw MD5's.
+
+    Both passes cover the same ``pages`` distinct pages in the same run,
+    so the ratio is scale-free: it says how many MD5 passes one page
+    synthesis costs on this machine.  The two passes alternate and each
+    keeps its best of ``_SYNTH_REPEATS``, so a burst of load on a shared
+    runner hits both; every synthesis run uses a fresh store, so no page
+    is cached.
+    """
+    content_ids = range(1, pages + 1)
+
+    def synthesize():
+        store = PageStore(cache_limit=pages)
+        return [store.page_bytes(cid) for cid in content_ids]
+
+    def md5_pass():
+        md5 = hashlib.md5
+        return [md5(page).digest() for page in generated]
+
+    generated = synthesize()
+    synth_s = md5_s = float("inf")
+    for _ in range(_SYNTH_REPEATS):
+        synth_s = min(synth_s, _timed(synthesize)[0])
+        md5_s = min(md5_s, _timed(md5_pass)[0])
+    mib = pages * PAGE_SIZE / 2**20
+    return {
+        "pages": pages,
+        "synth_mib_per_s": round(mib / synth_s, 1),
+        "md5_mib_per_s": round(mib / md5_s, 1),
+        "over_md5": round(md5_s / synth_s, 3),
+    }
+
+
 def _scrub_timing(metrics_dict: dict) -> dict:
     """A MigrationMetrics dict with every wall-clock field removed.
 
@@ -353,6 +393,7 @@ def build_snapshot(quick: bool) -> dict:
         "fig1": _bench_fig1(scale["fig1_epochs"]),
         "fig8": _bench_fig8(scale["fig8_epochs"]),
         "digest": _bench_digest(scale["digest_pages"]),
+        "synth": _bench_synth(scale["digest_pages"]),
         "pipeline": _bench_pipeline(scale["pipeline_mib"]),
     }
     if not quick:

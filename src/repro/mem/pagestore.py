@@ -4,8 +4,9 @@ The scalable simulator works on 64-bit content ids only.  The
 byte-faithful mini-hypervisor (:mod:`repro.vmm`) needs real 4 KiB blocks
 so it can compute real MD5 checksums and write real checkpoint files.
 :class:`PageStore` bridges the two: it deterministically expands a
-content id into a unique 4 KiB page, so equal ids always give
-byte-identical pages and distinct ids give distinct pages.
+content id into a unique 4 KiB page — one SHAKE-128 call seeded with
+the id — so equal ids always give byte-identical pages and distinct ids
+give distinct pages.
 """
 
 from __future__ import annotations
@@ -20,23 +21,13 @@ from repro.core.checksum import PAGE_SIZE, ChecksumAlgorithm, MD5
 from repro.core.fingerprint import ZERO_HASH
 from repro.obs.metrics import get_registry
 
-_ZERO_PAGE = bytes(PAGE_SIZE)
-
-_COUNTER_SUFFIXES: List[bytes] = []
-
-
-def _counter_suffixes(count: int) -> List[bytes]:
-    """The first ``count`` little-endian u32 keystream counters."""
-    while len(_COUNTER_SUFFIXES) < count:
-        _COUNTER_SUFFIXES.append(len(_COUNTER_SUFFIXES).to_bytes(4, "little"))
-    return _COUNTER_SUFFIXES[:count]
-
 
 class PageStore:
     """Deterministic content-id → page-bytes expansion with bounded LRU caches.
 
-    Pages are generated by repeating a BLAKE2b keystream seeded with the
-    content id.  The zero id maps to the all-zeros page, matching the
+    A page is the first ``page_size`` bytes of the SHAKE-128 output for
+    the content id (8 bytes, little-endian).  The zero id maps to the
+    all-zeros page, matching the
     :data:`~repro.core.fingerprint.ZERO_HASH` convention.
 
     Both the page cache and the digest cache evict one least-recently-used
@@ -79,20 +70,10 @@ class PageStore:
         return page
 
     def _generate(self, content_id: int) -> bytes:
-        # Hot path: synthesis runs once per distinct content id, but a
-        # migration digests thousands of them.  The counter suffixes are
-        # shared across all pages, so they are precomputed; joining full
-        # blocks and truncating once produces the same bytes as slicing
-        # each block to the remaining length.
-        seed = content_id.to_bytes(8, "little")
-        blake2b = hashlib.blake2b
-        page = b"".join(
-            [
-                blake2b(seed + counter, digest_size=64).digest()
-                for counter in _counter_suffixes(-(-self.page_size // 64))
-            ]
+        # Hot path: one extendable-output call per page.
+        return hashlib.shake_128(content_id.to_bytes(8, "little")).digest(
+            self.page_size
         )
-        return page[: self.page_size]
 
     def digest_for(
         self, content_id: int, algorithm: ChecksumAlgorithm = MD5

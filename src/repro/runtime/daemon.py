@@ -713,21 +713,25 @@ class CheckpointDaemon:
 
         Materializes each distinct content once into the shared content
         store — the runtime equivalent of the destination's sequential
-        checkpoint read that hashes every block (§3.3).  Digests come
-        from the batched :meth:`~repro.mem.pagestore.PageStore.digests_for`
-        path, so a duplicate-heavy image hashes its distinct contents
-        once instead of paying a cache probe per slot.
+        checkpoint read that hashes every block (§3.3).  Each distinct
+        content id is synthesized at most once: a digest miss leaves its
+        page at the head of the page LRU, so the ``page_bytes`` that
+        feeds ``put`` is a cache hit, and a digest hit for content the
+        store already holds synthesizes nothing.
         """
-        hashes = np.asarray(fingerprint.hashes, dtype=np.uint64)
-        slot_digests = self.pagestore.digests_for(hashes, algorithm)
-        uniques, first_pos = np.unique(hashes, return_index=True)
-        for content_id, slot in zip(uniques.tolist(), first_pos.tolist()):
-            digest = slot_digests[slot]
+        uniques, inverse = np.unique(
+            np.asarray(fingerprint.hashes, dtype=np.uint64), return_inverse=True
+        )
+        pagestore = self.pagestore
+        digests: List[bytes] = []
+        for content_id in uniques.tolist():
+            digest = pagestore.digest_for(content_id, algorithm)
             if digest not in self.store:
-                self.store.put(digest, self.pagestore.page_bytes(content_id))
+                self.store.put(digest, pagestore.page_bytes(content_id))
+            digests.append(digest)
         return self._adopt_checkpoint(
             vm_id,
-            slot_digests,
+            [digests[i] for i in inverse.tolist()],
             algorithm=algorithm,
             timestamp=fingerprint.timestamp,
             page_size=self.pagestore.page_size,

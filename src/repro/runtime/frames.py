@@ -150,7 +150,7 @@ class FrameError(RuntimeError):
 
 
 class StreamDesyncError(FrameError):
-    """The stream lost frame alignment (an unrecognised type tag).
+    """The stream lost frame alignment (an unrecognised type tag or flag).
 
     Unlike a structural violation *inside* a known frame (bad JSON, an
     oversized body, a stale delta generation), an unknown tag almost
@@ -393,6 +393,13 @@ class FrameCodec:
             return Frame(tag, body=body, wire_bytes=5 + length)
         if tag == TYPE_READY:
             round_no, applied, announce, done = struct.unpack(">IQBB", await recv(14))
+            if announce > 1 or done > 1:
+                # Flag bytes outside {0, 1} mean we are reading some other
+                # frame's bytes (e.g. after a truncated READY): a desync,
+                # not a READY the peer meant to send.
+                raise StreamDesyncError(
+                    f"READY flag bytes {announce:#04x}/{done:#04x} are not 0 or 1"
+                )
             return Frame(tag, round_no=round_no, applied=applied,
                          announce_follows=bool(announce), completed=bool(done),
                          wire_bytes=15)

@@ -1,5 +1,7 @@
 """Unit tests for repro.mem.pagestore."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,19 @@ class TestPageBytes:
     def test_custom_page_size(self):
         store = PageStore(page_size=128)
         assert len(store.page_bytes(5)) == 128
+
+    def test_golden_digests(self):
+        # Pins the synthesis function: every recorded page digest in the
+        # tree follows from these bytes, so changing them must be a
+        # deliberate, documented act.
+        store = PageStore()
+        assert hashlib.md5(store.page_bytes(1)).hexdigest() == (
+            "ed8986ee4d3c0b44431e4541649ddf0a"
+        )
+        assert hashlib.md5(store.page_bytes(2**63 + 5)).hexdigest() == (
+            "2c2f087357a8273b6f1164162f3543a1"
+        )
+        assert len(PageStore(page_size=100).page_bytes(1)) == 100
 
     def test_invalid_page_size(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from repro.runtime.frames import (
     TYPE_READY,
     TYPE_ROUND,
     TYPE_TELEMETRY,
+    StreamDesyncError,
     expect_frame,
 )
 
@@ -200,6 +201,16 @@ class TestErrors:
     def test_header_too_small_rejected(self):
         with pytest.raises(ValueError, match="header_bytes"):
             FrameCodec(WireFormat(header_bytes=1))
+
+    @pytest.mark.parametrize("flags", [(2, 0), (0, 2), (0xFF, 1), (1, 0xFF)])
+    def test_ready_flag_bytes_outside_bool_are_a_desync(self, flags):
+        # After a truncated READY the reader lands on the next frame's
+        # bytes; a flag byte that is not 0/1 must surface as a retryable
+        # desync, not be coerced to True and parsed onwards.
+        codec = FrameCodec(WIRE)
+        blob = bytes((TYPE_READY,)) + struct.pack(">IQBB", 1, 7, *flags)
+        with pytest.raises(StreamDesyncError, match="READY flag bytes"):
+            roundtrip(codec, blob)
 
     def test_unknown_tag_0x7f(self):
         codec = FrameCodec(WIRE)

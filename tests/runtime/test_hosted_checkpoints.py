@@ -33,6 +33,41 @@ def fingerprint(seed=3, distinct=32):
     )
 
 
+def _count_generate(pagestore):
+    """Wrap ``pagestore._generate`` on the instance; returns the call list."""
+    calls = []
+    generate = pagestore._generate
+
+    def counting(content_id):
+        calls.append(content_id)
+        return generate(content_id)
+
+    pagestore._generate = counting
+    return calls
+
+
+def test_install_synthesizes_each_distinct_page_once():
+    cache_limit = 64
+    daemon = CheckpointDaemon(pagestore=PageStore(cache_limit=cache_limit))
+    rng = np.random.default_rng(7)
+    distinct = 5 * cache_limit
+    hashes = np.concatenate(
+        [np.arange(distinct + 1, dtype=np.uint64),  # includes the zero id
+         rng.integers(0, distinct + 1, size=3 * distinct, dtype=np.uint64)]
+    )
+    rng.shuffle(hashes)
+    fp = Fingerprint(hashes=hashes, timestamp=1.0)
+    calls = _count_generate(daemon.pagestore)
+    hosted = daemon.install_checkpoint("vm", fp)
+    assert sorted(calls) == list(range(1, distinct + 1))
+    assert hosted.slot_digests == daemon.pagestore.digests_for(hashes)
+    # The digests are cached and the content is stored: a repeat install
+    # of the same image synthesizes nothing.
+    calls.clear()
+    daemon.install_checkpoint("vm", fp)
+    assert calls == []
+
+
 def test_live_only_checkpoint_is_resident():
     daemon = CheckpointDaemon()
     fp = fingerprint()
