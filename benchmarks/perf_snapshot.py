@@ -30,7 +30,6 @@ compares the *scale-free ratios*, never absolute seconds::
 from __future__ import annotations
 
 import argparse
-import asyncio
 import hashlib
 import json
 import os
@@ -45,24 +44,11 @@ import numpy as np  # noqa: E402
 from repro.core.checksum import MD5, PAGE_SIZE  # noqa: E402
 from repro.experiments import fig1_similarity, fig8_vdi  # noqa: E402
 from repro.mem.pagestore import PageStore  # noqa: E402
-from repro.net.link import Link  # noqa: E402
-from repro.runtime.crossval import idle_vm_scenario  # noqa: E402
-from repro.runtime.daemon import CheckpointDaemon  # noqa: E402
-from repro.runtime.source import (  # noqa: E402
-    MigrationSource,
-    RuntimeConfig,
-    SourceState,
-)
 from repro.traces.presets import SERVER_A  # noqa: E402
 from repro.vmm.guest import GuestRAM  # noqa: E402
 
-REFERENCE_SCALE = {"fig1_epochs": 80, "fig8_epochs": 400, "digest_pages": 4096,
-                   "pipeline_mib": 16}
-# The pipeline scenario keeps its full size under --quick: the overlap
-# being measured needs the digest phase to dominate fixed per-migration
-# costs, and the whole section still runs in a few seconds.
-QUICK_SCALE = {"fig1_epochs": 40, "fig8_epochs": 160, "digest_pages": 1024,
-               "pipeline_mib": 16}
+REFERENCE_SCALE = {"fig1_epochs": 80, "fig8_epochs": 400, "digest_pages": 4096}
+QUICK_SCALE = {"fig1_epochs": 40, "fig8_epochs": 160, "digest_pages": 1024}
 
 # The ratios --check compares, with the direction "bigger is better".
 CHECKED_RATIOS = (
@@ -70,19 +56,8 @@ CHECKED_RATIOS = (
     "fig1.best_speedup",
     "fig8.parallel_speedup",
     "digest.zero_copy_speedup",
-    "pipeline.speedup",
     "synth.over_md5",
 )
-
-_ANNOUNCE_WIRE_FACTOR = 1.25
-"""The pipeline benchmark calibrates the destination link so the bulk
-announce spends ~1.25× the source's checksum time on the wire — the
-regime the pipelined data path targets, where transmission is the
-slightly-longer pole and digesting rides entirely under it."""
-
-_PIPELINE_REPEATS = 3
-"""Timed migrations per mode; the best run is reported (standard
-min-of-N to shed scheduler noise on shared CI runners)."""
 
 _SYNTH_REPEATS = 5
 """Alternating synthesis/MD5 passes per side in the synthesis section."""
@@ -266,108 +241,6 @@ def _bench_synth(pages: int) -> dict:
     }
 
 
-def _scrub_timing(metrics_dict: dict) -> dict:
-    """A MigrationMetrics dict with every wall-clock field removed.
-
-    What remains — bytes, message counts, page classifications, rounds —
-    must be byte-identical between the serial and pipelined data paths.
-    """
-    scrubbed = dict(metrics_dict)
-    scrubbed.pop("wall_time_s", None)
-    scrubbed.pop("modelled_time_s", None)
-    scrubbed.pop("sink", None)
-    scrubbed["rounds"] = [
-        {k: v for k, v in r.items() if k != "duration_s"}
-        for r in scrubbed.get("rounds", [])
-    ]
-    return scrubbed
-
-
-def _bench_pipeline(size_mib: int) -> dict:
-    """Idle-VM best case through the serial and pipelined data paths.
-
-    Self-calibrating: the digest cost of the VM's distinct contents is
-    measured first, then the destination link's bandwidth is chosen so
-    the §3.2 bulk announce spends ``_ANNOUNCE_WIRE_FACTOR`` times that
-    long on the (receiver-visible, chunk-paced) wire.  The serial path
-    waits out the announce and only then digests; the pipelined path
-    digests underneath the announce transmission, so the delta between
-    the two is exactly the overlap the staged pipeline buys.  Both runs
-    must produce byte-identical transfer metrics.
-    """
-    scenario = idle_vm_scenario(size_mib=size_mib, updates_percent=0.0)
-    strategy = scenario.strategy
-
-    def digest_time() -> float:
-        store = PageStore()
-        uniq = np.unique(scenario.current.hashes)
-        seconds, _ = _timed(lambda: store.digests_for(uniq, strategy.checksum))
-        return seconds
-
-    digest_time()  # warm the synthesis/digest code paths
-    t_digest = digest_time()
-    announce_bytes = strategy.wire.announce_frame_bytes(
-        scenario.checkpoint.num_unique
-    )
-    wire_s = _ANNOUNCE_WIRE_FACTOR * t_digest
-    link = Link(
-        name="pipeline-bench",
-        bandwidth_bps=announce_bytes * 8 / wire_s / 0.94,
-        latency_s=1e-6,
-    )
-
-    async def one_migration(pipelined: bool):
-        daemon = CheckpointDaemon(
-            name="pipeline-bench", link=link, time_scale=1.0,
-            pagestore=PageStore(),
-        )
-        async with daemon:
-            daemon.install_checkpoint(
-                scenario.vm_id, scenario.checkpoint, strategy.checksum
-            )
-            source = MigrationSource(
-                SourceState(
-                    vm_id=scenario.vm_id,
-                    hashes=scenario.current.hashes,
-                    pagestore=PageStore(),
-                    dirty_slots=scenario.dirty_slots,
-                ),
-                strategy,
-                config=RuntimeConfig(time_scale=0.0, pipelined=pipelined),
-            )
-            started = time.perf_counter()
-            metrics = await source.migrate(daemon.host, daemon.port)
-            return time.perf_counter() - started, metrics
-
-    def best_of(pipelined: bool):
-        runs = [
-            asyncio.run(one_migration(pipelined))
-            for _ in range(_PIPELINE_REPEATS)
-        ]
-        return min(runs, key=lambda run: run[0])
-
-    best_of(True)  # warm both stacks (imports, executor, event loop)
-    serial_s, serial_metrics = best_of(False)
-    pipelined_s, pipelined_metrics = best_of(True)
-    if _scrub_timing(serial_metrics.to_dict()) != _scrub_timing(
-        pipelined_metrics.to_dict()
-    ):
-        raise AssertionError(
-            "pipelined migration metrics diverged from serial"
-        )
-    return {
-        "size_mib": size_mib,
-        "pages": scenario.num_pages,
-        "digest_calibration_s": round(t_digest, 4),
-        "announce_bytes": announce_bytes,
-        "announce_wire_factor": _ANNOUNCE_WIRE_FACTOR,
-        "payload_bytes": serial_metrics.payload_bytes,
-        "serial_s": round(serial_s, 4),
-        "pipelined_s": round(pipelined_s, 4),
-        "speedup": round(serial_s / pipelined_s, 3),
-    }
-
-
 def _bench_end_to_end() -> dict:
     """Wall time of the full default-scale figure pipelines (serial).
 
@@ -394,7 +267,6 @@ def build_snapshot(quick: bool) -> dict:
         "fig8": _bench_fig8(scale["fig8_epochs"]),
         "digest": _bench_digest(scale["digest_pages"]),
         "synth": _bench_synth(scale["digest_pages"]),
-        "pipeline": _bench_pipeline(scale["pipeline_mib"]),
     }
     if not quick:
         snapshot["end_to_end"] = _bench_end_to_end()

@@ -101,38 +101,14 @@ class PageStore:
     def digests_for(
         self, content_ids: np.ndarray, algorithm: ChecksumAlgorithm = MD5
     ) -> List[bytes]:
-        """Per-slot digests for an array of content ids, batched.
+        """Per-slot digests for an array of content ids.
 
-        Computes each *distinct* id once (duplicate-heavy images digest
-        far fewer pages than they have slots) and touches the LRU once
-        per distinct id rather than once per slot.  Cache maintenance is
-        batched: misses are inserted as they are computed and the LRU is
-        trimmed once at the end, so a large batch pays one eviction scan
-        instead of one bound check per id.
+        Each *distinct* id goes through :meth:`digest_for` once, so
+        duplicate-heavy images digest far fewer pages than they have
+        slots.
         """
-        content_ids = np.asarray(content_ids)
-        uniques, inverse = np.unique(content_ids, return_inverse=True)
-        cache = self._digest_cache
-        name = algorithm.name
-        digests: List[bytes] = []
-        misses = 0
-        for cid in uniques.tolist():
-            key = (name, cid)
-            cached = cache.get(key)
-            if cached is None:
-                cached = algorithm.digest(self.page_bytes(cid))
-                cache[key] = cached
-                misses += 1
-            else:
-                cache.move_to_end(key)
-            digests.append(cached)
-        if misses:
-            evicted = 0
-            while len(cache) > self._digest_limit:
-                cache.popitem(last=False)
-                evicted += 1
-            if evicted:
-                get_registry().counter("pagestore.digest_evictions").add(evicted)
+        uniques, inverse = np.unique(np.asarray(content_ids), return_inverse=True)
+        digests = [self.digest_for(cid, algorithm) for cid in uniques.tolist()]
         return [digests[i] for i in inverse]
 
     def materialize(self, slots: np.ndarray) -> bytes:

@@ -166,12 +166,13 @@ METRICS: Tuple[MetricSpec, ...] = (
                "Digest-cache entries evicted by the pagestore LRU."),
     MetricSpec("pagestore.page_evictions", COUNTER,
                "Page-cache entries evicted by the pagestore LRU."),
-    # --- pipelined data path --------------------------------------------
+    # --- write-behind stalls --------------------------------------------
     MetricSpec("pipeline.stage_stall_seconds", HISTOGRAM,
-               "How long pipeline stages waited on bounded queues."),
+               "How long the daemon's write-behind backlog throttled a "
+               "session."),
     MetricSpec("pipeline.stall.<stage>", COUNTER,
-               "Stall events per pipeline stage (digest/plan/encode/"
-               "send/writebehind)."),
+               "Seconds stalled per stage; the daemon's write-behind "
+               "(writebehind) is the only stage."),
     # --- checkpoint repository ------------------------------------------
     MetricSpec("repo.bytes_reclaimed", COUNTER,
                "Segment bytes freed by garbage collection."),

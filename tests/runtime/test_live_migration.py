@@ -11,7 +11,6 @@ from repro.core.strategies import (
     MIYAKODORI,
     QEMU,
     VECYCLE,
-    VECYCLE_DEDUP,
 )
 from repro.mem.pagestore import PageStore
 from repro.runtime import (
@@ -104,6 +103,19 @@ class TestFourModes:
         full, _ = asyncio.run(migrate_once(QEMU, None, current, dirty))
         vec, _ = asyncio.run(migrate_once(VECYCLE, checkpoint, current, dirty))
         assert vec.payload_bytes < full.payload_bytes / 5
+
+    def test_vecycle_first_visit_with_empty_announce(self):
+        # No hosted checkpoint: the degraded §3.2 mode sends every page
+        # in full against an empty announce, and the image still verifies.
+        _, current, dirty = build_vm()
+        metrics, daemon = asyncio.run(migrate_once(VECYCLE, None, current, dirty))
+        assert metrics.outcome == "completed"
+        assert metrics.pages_full == N
+        assert metrics.pages_checksum_only == 0
+        store = PageStore()
+        assert daemon.checkpoints["vm"].slot_digests == [
+            store.digest_for(int(c)) for c in current
+        ]
 
     def test_dedup_emits_refs(self):
         checkpoint, current, dirty = build_vm()
@@ -275,3 +287,42 @@ class TestRetryPolicy:
     def test_zero_attempts_rejected(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
+
+    def test_migration_retries_are_jittered_per_vm(self, monkeypatch):
+        # Two VMs failing against the same dead port must not retry in
+        # lockstep: each one's sleeps are keyed by its own vm_id.
+        policy = RetryPolicy(max_attempts=3, base_backoff_s=0.001, jitter=0.5)
+        real_sleep = asyncio.sleep
+        slept = []
+
+        async def recording_sleep(delay, *args, **kwargs):
+            slept.append(delay)
+            await real_sleep(0)
+
+        monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+
+        async def main():
+            server = await asyncio.start_server(
+                lambda r, w: None, "127.0.0.1", 0
+            )
+            host, port = server.sockets[0].getsockname()[:2]
+            server.close()
+            await server.wait_closed()
+            _, current, _ = build_vm()
+            sleeps = {}
+            for vm_id in ("vm-a", "vm-b"):
+                slept.clear()
+                source = MigrationSource(
+                    SourceState(vm_id, current, PageStore()),
+                    QEMU,
+                    config=RuntimeConfig(retry=policy),
+                )
+                with pytest.raises(MigrationError):
+                    await source.migrate(host, port)
+                sleeps[vm_id] = list(slept)
+            return sleeps
+
+        sleeps = asyncio.run(main())
+        for vm_id, delays in sleeps.items():
+            assert delays == [policy.backoff(i, key=vm_id) for i in range(2)]
+        assert sleeps["vm-a"] != sleeps["vm-b"]
