@@ -42,6 +42,8 @@ summary:
 # Live localhost migrations through the asyncio runtime: every strategy,
 # cross-validated against the analytic model, plus one run that loses
 # the connection mid-transfer and resumes.
+# The second run arms the chaos disconnect wire fault
+# (repro.chaos.StreamFault) on the daemon: it resumes with retries=1.
 runtime-demo:
 	python -m repro runtime --size-mib 16 --strategy all
 	python -m repro runtime --size-mib 16 --strategy vecycle --inject-disconnect 100

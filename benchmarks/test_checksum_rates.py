@@ -6,8 +6,6 @@ on 10/40 GbE the checksum rate becomes the lower bound on migration
 time; and the bulk announce for a 4 GiB VM is 16 MiB of MD5 checksums.
 """
 
-import pytest
-
 from repro.core.checksum import MD5, get_algorithm, measure_throughput
 from repro.experiments import rates
 from repro.net.link import LAN_1GBE

@@ -12,7 +12,6 @@ what checkpoint recycling does for memory — and that the two compound:
 """
 
 import numpy as np
-import pytest
 
 from repro.core.checkpoint import Checkpoint
 from repro.core.strategies import QEMU, VECYCLE

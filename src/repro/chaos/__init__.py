@@ -1,9 +1,10 @@
 """Deterministic chaos plane: seeded fault schedules and invariant checks.
 
-The cluster already has fault *hooks* scattered through it — the
-daemon's :class:`~repro.runtime.daemon._FaultPlan`, the repository's
-crash points, the registry's and aggregator's ``probe_fault``
-callables.  This package unifies them behind one seeded
+The cluster has two kinds of fault point: the repository's crash
+points between durable steps, and wire faults, which
+:mod:`repro.chaos.streams` injects by wrapping a daemon's connections
+through its one per-connection stream hook (the same hook the source
+has).  This package drives both from one seeded
 :class:`~repro.chaos.schedule.FaultSchedule` and a soak runner
 (:func:`~repro.chaos.soak.run_soak`) that replays a live migration
 schedule through real localhost daemons while injecting the scheduled
@@ -23,6 +24,7 @@ from repro.chaos.schedule import (
     FaultSpec,
 )
 from repro.chaos.soak import RoundRecord, SoakReport, run_soak
+from repro.chaos.streams import StreamFault
 
 __all__ = [
     "FAULT_KINDS",
@@ -33,5 +35,6 @@ __all__ = [
     "InvariantViolation",
     "RoundRecord",
     "SoakReport",
+    "StreamFault",
     "run_soak",
 ]

@@ -1,14 +1,14 @@
 """The fault-point registry: every injectable fault, declared once.
 
-The cluster's fault surface grew one hook at a time — the repository's
-crash points, the daemon's :class:`~repro.runtime.daemon._FaultPlan`
-knobs, the chaos schedule's fault kinds, the registry/aggregator
-``probe_fault`` callbacks — each declared wherever it was implemented.
-This module is the one place they are all named, so a reader (or the
-``vecycle lint`` fault-registry rule) can see the whole vocabulary at a
-glance and so nothing can be added without being declared and tested.
+The cluster's faults come from two places: the repository's crash
+points between durable steps, and the chaos schedule's fault kinds,
+whose wire faults :mod:`repro.chaos.streams` realises by wrapping
+connections.  This module is the one place both are named, so a reader
+(or the ``vecycle lint`` fault-registry rule) can see the whole
+vocabulary at a glance and so nothing can be added without being
+declared and tested.
 
-Three groups, keyed by the name used at runtime:
+Two groups, keyed by the name used at runtime:
 
 * :data:`REPOSITORY_FAULT_POINTS` — the crash points
   :attr:`~repro.storage.repository.CheckpointRepository.fault_hook`
@@ -16,10 +16,8 @@ Three groups, keyed by the name used at runtime:
   :data:`repro.storage.repository.FAULT_POINTS`.
 * :data:`SCHEDULE_FAULT_KINDS` — the seeded soak vocabulary; must equal
   :data:`repro.chaos.schedule.FAULT_KINDS`.
-* :data:`PLAN_KNOBS` — the :class:`~repro.runtime.daemon._FaultPlan`
-  fields the soak arms to realise protocol-level kinds.
 
-``vecycle lint`` statically cross-checks all three against their source
+``vecycle lint`` statically cross-checks both against their source
 modules (both directions) and requires every declared name to be
 referenced by at least one test; :func:`validate` performs the same
 set comparison at import time so drift also fails fast dynamically.
@@ -50,21 +48,9 @@ SCHEDULE_FAULT_KINDS: Dict[str, str] = {
     "slow_link": "Migration shaped over a modelled WAN link.",
 }
 
-PLAN_KNOBS: Dict[str, str] = {
-    "after_messages": "Abort after this many applied data frames.",
-    "times": "Occurrence budget for after_messages aborts.",
-    "mid_result": "Abort while the RESULT frame is on the wire.",
-    "stall_ready_s": "Sleep this long before sending READY.",
-    "stall_times": "Occurrence budget for READY stalls.",
-    "truncate_ready_bytes": "Send READY short by this many bytes.",
-    "truncate_times": "Occurrence budget for READY truncations.",
-    "drop_telemetry_times": "Abort this many TELEMETRY probes.",
-}
-
 ALL_FAULT_POINTS: Dict[str, str] = {
     **REPOSITORY_FAULT_POINTS,
     **SCHEDULE_FAULT_KINDS,
-    **{k: v for k, v in PLAN_KNOBS.items() if k not in SCHEDULE_FAULT_KINDS},
 }
 
 
@@ -75,10 +61,7 @@ def validate() -> None:
     the chaos package's tests and usable anywhere a sanity check is
     cheap insurance.
     """
-    from dataclasses import fields
-
     from repro.chaos.schedule import FAULT_KINDS
-    from repro.runtime.daemon import _FaultPlan
     from repro.storage.repository import FAULT_POINTS
 
     declared_points = set(REPOSITORY_FAULT_POINTS)
@@ -92,10 +75,4 @@ def validate() -> None:
         raise AssertionError(
             f"fault kinds drifted: registry {declared_kinds} "
             f"!= schedule.FAULT_KINDS {set(FAULT_KINDS)}"
-        )
-    knob_names = {f.name for f in fields(_FaultPlan)}
-    if set(PLAN_KNOBS) != knob_names:
-        raise AssertionError(
-            f"fault-plan knobs drifted: registry {set(PLAN_KNOBS)} "
-            f"!= _FaultPlan fields {knob_names}"
         )

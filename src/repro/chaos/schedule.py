@@ -24,10 +24,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 class FaultKind:
     """The fault vocabulary, one constant per unified hook.
 
-    Each kind maps to an existing fault point in the cluster:
+    Each kind maps to one fault point in the cluster; the wire kinds
+    are realised by :class:`~repro.chaos.streams.StreamFault` wrappers
+    on the daemons' connections:
 
     * ``DISCONNECT`` — daemon aborts the connection after ``param``
-      protocol messages (the ``inject_disconnect`` hook).
+      applied protocol messages (page frames).
     * ``MID_RESULT`` — daemon sends half the RESULT frame, then aborts.
     * ``STALL_OVER`` / ``STALL_UNDER`` — daemon stalls before READY for
       longer / shorter than the source's ``io_timeout_s``.

@@ -22,12 +22,13 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.chaos.invariants import InvariantChecker
 from repro.chaos.schedule import FaultKind, FaultSchedule, FaultSpec
+from repro.chaos.streams import StreamFault
 from repro.cluster.schedule import (
     MigrationEvent,
     ping_pong_schedule,
@@ -42,7 +43,7 @@ from repro.orchestrator.placement import PlacementError
 from repro.orchestrator.executor import AdmissionLimits, MigrationExecutor
 from repro.orchestrator.registry import ClusterRegistry
 from repro.orchestrator.telemetry import TelemetryAggregator
-from repro.runtime.daemon import CheckpointDaemon, _FaultPlan
+from repro.runtime.daemon import CheckpointDaemon
 from repro.runtime.source import RetryPolicy, RuntimeConfig
 
 log = get_logger(__name__)
@@ -254,12 +255,13 @@ class _Soak:
     def _target_host(self, spec: FaultSpec) -> str:
         return self.names[spec.host_index % len(self.names)]
 
-    def _arm(self, spec: Optional[FaultSpec]) -> Optional[_FaultPlan]:
-        """Install the round's fault; returns the daemon-side plan.
+    def _arm(self, spec: Optional[FaultSpec]) -> Optional[StreamFault]:
+        """Install the round's fault; returns the wire fault, if any.
 
-        One plan *instance* is shared by every daemon for the
+        One :class:`StreamFault` is armed on every daemon for the
         migration-path faults: only the destination serves the HELLO,
-        so sharing makes the occurrence budget cluster-wide.
+        so its shared budget makes the occurrence cluster-wide.  Probe
+        drops are armed on the one targeted host.
         """
         if spec is None:
             return None
@@ -267,63 +269,47 @@ class _Soak:
             self.report.faults_injected.get(spec.kind, 0) + 1
         )
         get_registry().counter(f"chaos.faults.{spec.kind}").add()
-        plan: Optional[_FaultPlan] = None
-        if spec.kind in (FaultKind.DISCONNECT, FaultKind.RESTART):
-            plan = _FaultPlan(after_messages=spec.param, times=1)
-        elif spec.kind == FaultKind.MID_RESULT:
-            plan = _FaultPlan(mid_result=True, times=1)
-        elif spec.kind == FaultKind.STALL_OVER:
-            plan = _FaultPlan(stall_ready_s=STALL_OVER_S, stall_times=1)
-        elif spec.kind == FaultKind.STALL_UNDER:
-            plan = _FaultPlan(stall_ready_s=STALL_UNDER_S, stall_times=1)
-        elif spec.kind == FaultKind.TRUNCATE_READY:
-            plan = _FaultPlan(truncate_ready_bytes=spec.param, truncate_times=1)
-        elif spec.kind == FaultKind.TELEMETRY_LOSS:
-            # Installed on one host only: its next TELEMETRY probe is
-            # aborted on the wire, end to end through the aggregator.
-            plan = _FaultPlan(drop_telemetry_times=1)
-            self.daemons[self._target_host(spec)].install_fault_plan(plan)
-            return plan
-        elif spec.kind == FaultKind.HEARTBEAT_LOSS:
-            target = self._target_host(spec)
-            budget = {"left": 1}
+        if spec.kind == FaultKind.SLOW_LINK:
 
-            def drop(name: str) -> bool:
-                if name == target and budget["left"] > 0:
-                    budget["left"] -= 1
-                    return True
-                return False
-
-            self.registry.probe_fault = drop
-            return None
-        elif spec.kind == FaultKind.SLOW_LINK:
-
-            def shape(stream) -> None:
+            def shape(stream):
                 stream.link = WAN_CLOUDNET
+                return stream
 
             self.orchestrator.config = replace(
                 self.base_config, on_stream=shape
             )
             return None
-        elif spec.kind == FaultKind.CORRUPT_SEGMENT:
+        if spec.kind == FaultKind.CORRUPT_SEGMENT:
             self._corrupt_segment(spec)
             return None
-        if plan is not None:
-            for daemon in self.daemons.values():
-                daemon.install_fault_plan(plan)
-        return plan
-
-    def _disarm(self, plan: Optional[_FaultPlan]) -> None:
+        if spec.kind == FaultKind.HEARTBEAT_LOSS:
+            # The host looks dead until the next poll revives it.
+            StreamFault(spec.kind).arm(self.daemons[self._target_host(spec)])
+            return None
+        if spec.kind == FaultKind.TELEMETRY_LOSS:
+            # Its next TELEMETRY probe is aborted on the wire, end to
+            # end through the aggregator.
+            return StreamFault(spec.kind).arm(
+                self.daemons[self._target_host(spec)]
+            )
+        if spec.kind == FaultKind.RESTART:
+            # The restart watch kills whichever daemon this abort hits.
+            fault = StreamFault(FaultKind.DISCONNECT, spec.param)
+        elif spec.kind == FaultKind.STALL_OVER:
+            fault = StreamFault(spec.kind, STALL_OVER_S)
+        elif spec.kind == FaultKind.STALL_UNDER:
+            fault = StreamFault(spec.kind, STALL_UNDER_S)
+        else:
+            fault = StreamFault(spec.kind, spec.param)
         for daemon in self.daemons.values():
-            daemon.install_fault_plan(None)
-        self.registry.probe_fault = None
+            fault.arm(daemon)
+        return fault
+
+    def _disarm(self, fault: Optional[StreamFault]) -> None:
+        for daemon in self.daemons.values():
+            daemon.on_stream = None
         self.orchestrator.config = self.base_config
-        if plan is not None and (
-            plan.times > 0
-            or plan.stall_times > 0
-            or plan.truncate_times > 0
-            or plan.drop_telemetry_times > 0
-        ):
+        if fault is not None and not fault.spent:
             # The migration finished without reaching the fault point
             # (e.g. a deferred placement): no occurrence to account.
             self.report.faults_skipped += 1
@@ -439,7 +425,7 @@ class _Soak:
         self._mutate_hashes(gap_hours)
         specs = self.schedule.for_round(round_no)
         spec = specs[0] if specs else None
-        plan = self._arm(spec)
+        fault = self._arm(spec)
         try:
             if spec is not None and spec.kind == FaultKind.RESTART:
                 task = asyncio.create_task(self._migrate())
@@ -448,10 +434,10 @@ class _Soak:
             else:
                 decision, outcome = await self._migrate()
         finally:
-            # Telemetry-drop plans stay armed through the end-of-round
-            # poll below; everything else is cleared first.
+            # Telemetry drops stay armed through the end-of-round poll
+            # below; everything else is cleared first.
             if spec is None or spec.kind != FaultKind.TELEMETRY_LOSS:
-                self._disarm(plan)
+                self._disarm(fault)
         self.report.records.append(
             RoundRecord(
                 round_no=round_no,
@@ -475,7 +461,7 @@ class _Soak:
         )
         await self.aggregator.poll_all()
         if spec is not None and spec.kind == FaultKind.TELEMETRY_LOSS:
-            self._disarm(plan)
+            self._disarm(fault)
         self.checker.check_store_accounting(self.daemons, round_no)
         self.checker.check_rollups(self.aggregator, round_no)
 

@@ -451,6 +451,7 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
             if args.inject_disconnect:
                 # Re-run with a mid-transfer disconnect so the retry path
                 # shows up in the metrics (daemon aborts, source resumes).
+                from repro.chaos import FaultKind, StreamFault
                 from repro.runtime import CheckpointDaemon, MigrationSource, SourceState
                 from repro.mem.pagestore import PageStore
 
@@ -463,7 +464,9 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
                             scenario.vm_id, scenario.checkpoint,
                             scenario.strategy.checksum,
                         )
-                    daemon.inject_disconnect(args.inject_disconnect)
+                    StreamFault(
+                        FaultKind.DISCONNECT, args.inject_disconnect
+                    ).arm(daemon)
                     source = MigrationSource(
                         SourceState(
                             vm_id=scenario.vm_id,

@@ -18,7 +18,6 @@ from typing import List, Sequence
 from repro.core.checksum import (
     ChecksumAlgorithm,
     PAGE_SIZE,
-    available_algorithms,
     get_algorithm,
     measure_throughput,
 )

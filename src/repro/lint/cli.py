@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 from repro.lint.core import (
     BASELINE_FILENAME,
-    LintReport,
     Project,
     default_root,
     load_baseline,

@@ -23,7 +23,7 @@ shutdown path) carry a ``# lint: ignore[async-safety]`` with a reason.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from repro.lint.core import Finding, Project
 

@@ -31,7 +31,7 @@ file's own imports.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
 from repro.lint.core import Finding, Project
 

@@ -8,8 +8,6 @@ against the implementing modules, statically:
   directions, so neither side can grow a point the other lacks;
 * ``SCHEDULE_FAULT_KINDS`` equals the ``FaultKind`` vocabulary in
   ``chaos/schedule.py``;
-* ``PLAN_KNOBS`` equals the ``_FaultPlan`` dataclass fields in
-  ``runtime/daemon.py``;
 * every fault-point string used at a ``_fault(...)`` call site or a
   ``fault_point=`` keyword in ``src/`` resolves to a declared point —
   no ad-hoc literals;
@@ -32,7 +30,6 @@ RULE_ID = "fault-points"
 REGISTRY_PATH = "src/repro/chaos/faultpoints.py"
 REPOSITORY_PATH = "src/repro/storage/repository.py"
 SCHEDULE_PATH = "src/repro/chaos/schedule.py"
-DAEMON_PATH = "src/repro/runtime/daemon.py"
 
 _FAULT_CONST_RE = re.compile(r"^FAULT_[A-Z0-9_]+$")
 
@@ -87,19 +84,6 @@ def _fault_kinds(tree: ast.Module) -> Dict[str, str]:
                         if isinstance(target, ast.Name):
                             kinds[stmt.value.value] = f"FaultKind.{target.id}"
     return kinds
-
-
-def _plan_knobs(tree: ast.Module) -> Set[str]:
-    """Field names of the ``_FaultPlan`` dataclass in daemon.py."""
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == "_FaultPlan":
-            return {
-                stmt.target.id
-                for stmt in node.body
-                if isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-            }
-    return set()
 
 
 def _compare(
@@ -158,20 +142,14 @@ def check(project: Project) -> Iterable[Finding]:
     declared_kinds, kinds_line = _dict_literal_keys(
         registry_tree, "SCHEDULE_FAULT_KINDS"
     )
-    declared_knobs, knobs_line = _dict_literal_keys(
-        registry_tree, "PLAN_KNOBS"
-    )
 
     repo_points = _repository_points(project.tree(REPOSITORY_PATH))
     kinds = _fault_kinds(project.tree(SCHEDULE_PATH))
-    knobs = _plan_knobs(project.tree(DAEMON_PATH))
 
     _compare(findings, declared_points, points_line, set(repo_points),
              "REPOSITORY_FAULT_POINTS", "storage/repository.py")
     _compare(findings, declared_kinds, kinds_line, set(kinds),
              "SCHEDULE_FAULT_KINDS", "chaos/schedule.py FaultKind")
-    _compare(findings, declared_knobs, knobs_line, knobs,
-             "PLAN_KNOBS", "runtime/daemon.py _FaultPlan")
 
     # Ad-hoc fault-point literals at call sites.
     known_points = set(repo_points) | (declared_points or set())
@@ -222,12 +200,5 @@ def check(project: Project) -> Iterable[Finding]:
             findings.append(Finding(
                 RULE_ID, REGISTRY_PATH, kinds_line,
                 f"fault kind {value!r} is not referenced by any test",
-            ))
-    for knob in sorted(knobs):
-        if (declared_knobs is not None and knob in declared_knobs) and \
-                not _test_referenced(tests_text, (knob,)):
-            findings.append(Finding(
-                RULE_ID, REGISTRY_PATH, knobs_line,
-                f"fault-plan knob {knob!r} is not referenced by any test",
             ))
     return findings

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.lint.core import Finding, Project
 

@@ -11,8 +11,6 @@ this is what makes multi-round pre-copy behave like the real thing
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.core.checksum import PAGE_SIZE

@@ -76,13 +76,14 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("daemon.heartbeats", COUNTER,
                "HEARTBEAT probes answered with an inventory report."),
     MetricSpec("daemon.injected_aborts", COUNTER,
-               "Connections aborted by an armed fault plan."),
+               "Connections aborted by an armed wire fault (disconnect, "
+               "mid-RESULT)."),
     MetricSpec("daemon.injected_stalls", COUNTER,
-               "READY sends stalled by an armed fault plan."),
+               "READY sends stalled by an armed wire fault."),
     MetricSpec("daemon.injected_telemetry_drops", COUNTER,
-               "TELEMETRY probes dropped by an armed fault plan."),
+               "TELEMETRY probes dropped by an armed wire fault."),
     MetricSpec("daemon.injected_truncations", COUNTER,
-               "READY frames truncated by an armed fault plan."),
+               "READY frames truncated by an armed wire fault."),
     MetricSpec("daemon.pages_received", COUNTER,
                "Page frames applied across completed sessions."),
     MetricSpec("daemon.peer_errors", COUNTER,

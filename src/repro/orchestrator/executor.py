@@ -23,7 +23,7 @@ wraps :meth:`~repro.runtime.source.MigrationSource.migrate` with:
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.obs import flight

@@ -17,7 +17,7 @@ polling continues and a later success revives it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.obs.log import get_logger
@@ -79,10 +79,6 @@ class ClusterRegistry:
         self._clock = clock
         self._records: Dict[str, HostRecord] = {}
         self._seq = 0
-        self.probe_fault: Optional[Callable[[str], bool]] = None
-        """Fault point for the :mod:`repro.chaos` plane: called with the
-        host name before each heartbeat; returning True drops the probe
-        (the host looks dead until a later poll revives it)."""
 
     # --- membership -----------------------------------------------------
 
@@ -146,8 +142,6 @@ class ClusterRegistry:
             return record
 
     async def _probe(self, record: HostRecord) -> HostInventory:
-        if self.probe_fault is not None and self.probe_fault(record.name):
-            raise ConnectionError(f"heartbeat to {record.name} dropped (injected)")
         codec = FrameCodec()
         stream = await open_shaped_connection(
             record.host,

@@ -97,10 +97,6 @@ class TelemetryAggregator:
         self.seq_gaps = 0
         self.labels_folded = 0
         self.poll_seconds = 0.0
-        self.probe_fault: Optional[Callable[[str], bool]] = None
-        """Fault point for the :mod:`repro.chaos` plane: called with the
-        host name before each probe; returning True drops the poll (a
-        failure is counted, accumulated history is untouched)."""
 
     # --- polling --------------------------------------------------------
 
@@ -117,10 +113,6 @@ class TelemetryAggregator:
         self.polls += 1
         with _span("orchestrator.telemetry", host=name) as probe_span:
             try:
-                if self.probe_fault is not None and self.probe_fault(name):
-                    raise ConnectionError(
-                        f"telemetry poll of {name} dropped (injected)"
-                    )
                 snapshot = await self._probe(record.host, record.port)
             except (FrameError, *_TRANSPORT_ERRORS) as exc:
                 self.poll_failures += 1

@@ -17,8 +17,9 @@ resolves to bytes in O(1).
 Robustness: sessions survive connection loss.  A source that reconnects
 with the same session token gets told exactly how far the previous
 attempt got (round number + messages applied) and resumes from there;
-a completed session replays its RESULT idempotently.  Test hooks can
-inject mid-transfer disconnects to exercise exactly that path.
+a completed session replays its RESULT idempotently.  The fault plane
+(:mod:`repro.chaos`) wraps connections through
+:attr:`CheckpointDaemon.on_stream` to exercise exactly that path.
 
 Durability: give the daemon a ``state_dir`` and every committed
 checkpoint (and completed session result) survives a daemon restart —
@@ -70,7 +71,7 @@ from repro.runtime.frames import (
     TYPE_ROUND,
     TYPE_TELEMETRY,
 )
-from repro.runtime.shaping import ShapedStream
+from repro.runtime.shaping import ShapedStream, StreamHook
 
 log = get_logger(__name__)
 
@@ -497,37 +498,6 @@ class _WriteBehind:
         self.flush_sync()
 
 
-@dataclass
-class _FaultPlan:
-    """Fault hook: disturb the protocol at a chosen point.
-
-    ``mid_result`` aborts while the RESULT frame is on the wire (the
-    session is already completed and persisted); otherwise the abort
-    happens after ``after_messages`` total applied data frames.  The
-    remaining knobs are the daemon-side vocabulary of the
-    :mod:`repro.chaos` fault plane; each has its own occurrence budget
-    so one plan can compose several fault kinds.  Every knob is
-    deterministic — no randomness, so runs are seed-stable.
-    """
-
-    after_messages: int = 0
-    times: int = 0
-    mid_result: bool = False
-    stall_ready_s: float = 0.0
-    """Sleep this long before sending READY — chosen just over the
-    source's ``io_timeout_s`` it looks like a dead peer (transport
-    retry), just under it models a slow link that must NOT fail."""
-    stall_times: int = 0
-    truncate_ready_bytes: int = 0
-    """Send READY short by this many bytes and *keep talking* on the
-    live connection: the source desyncs mid-stream instead of seeing a
-    clean EOF — the fault that distinguishes a retryable desync from a
-    genuine codec violation."""
-    truncate_times: int = 0
-    drop_telemetry_times: int = 0
-    """Abort this many TELEMETRY probes instead of answering them."""
-
-
 class CheckpointDaemon:
     """Asyncio TCP server hosting checkpoints and receiving migrations.
 
@@ -594,7 +564,10 @@ class CheckpointDaemon:
         self._sessions: "OrderedDict[str, _SinkSession]" = OrderedDict()
         self._server: Optional[asyncio.AbstractServer] = None
         self._handlers: Set[asyncio.Task] = set()
-        self._fault: Optional[_FaultPlan] = None
+        self.on_stream: Optional[StreamHook] = None
+        """Applied to every accepted connection before its opener is
+        read — the fault plane's seam (see
+        :data:`~repro.runtime.shaping.StreamHook`).  None in production."""
         self.host: Optional[str] = None
         self.port: Optional[int] = None
         # Telemetry: counters land in the process-wide registry (the
@@ -964,79 +937,6 @@ class CheckpointDaemon:
             "checkpoints": checkpoints,
         }
 
-    # --- fault injection ------------------------------------------------
-
-    def inject_disconnect(
-        self,
-        after_messages: int = 0,
-        times: int = 1,
-        mid_result: bool = False,
-    ) -> None:
-        """Abort connections at a chosen protocol point (test hook).
-
-        With ``mid_result=False`` the abort fires after
-        ``after_messages`` total applied data frames.  With
-        ``mid_result=True`` it instead fires while the RESULT frame is
-        being sent: the session has already been verified, adopted, and
-        persisted, but the source never sees the acknowledgement — the
-        nastiest spot for a disconnect, exercising the idempotent
-        RESULT-replay path on reconnect.  Either way the abort happens
-        ``times`` times, then the daemon behaves normally.  The hook is
-        deterministic: no randomness, so runs are seed-stable.
-        """
-        self._fault = _FaultPlan(
-            after_messages=after_messages, times=times, mid_result=mid_result
-        )
-
-    def install_fault_plan(self, plan: Optional[_FaultPlan]) -> None:
-        """Install (or clear, with None) the daemon-side fault plan.
-
-        The unified entry point the :mod:`repro.chaos` fault plane uses;
-        :meth:`inject_disconnect` remains as the narrow legacy spelling.
-        """
-        self._fault = plan
-
-    def _should_abort(self, session: _SinkSession) -> bool:
-        fault = self._fault
-        if fault is None or fault.times <= 0 or fault.mid_result:
-            return False
-        if session.total_applied >= fault.after_messages:
-            fault.times -= 1
-            return True
-        return False
-
-    def _should_abort_result(self) -> bool:
-        fault = self._fault
-        if fault is None or not fault.mid_result or fault.times <= 0:
-            return False
-        fault.times -= 1
-        return True
-
-    def _take_ready_stall(self) -> float:
-        fault = self._fault
-        if fault is None or fault.stall_times <= 0 or fault.stall_ready_s <= 0:
-            return 0.0
-        fault.stall_times -= 1
-        return fault.stall_ready_s
-
-    def _take_ready_truncation(self) -> int:
-        fault = self._fault
-        if (
-            fault is None
-            or fault.truncate_times <= 0
-            or fault.truncate_ready_bytes <= 0
-        ):
-            return 0
-        fault.truncate_times -= 1
-        return fault.truncate_ready_bytes
-
-    def _should_drop_telemetry(self) -> bool:
-        fault = self._fault
-        if fault is None or fault.drop_telemetry_times <= 0:
-            return False
-        fault.drop_telemetry_times -= 1
-        return True
-
     # --- connection handling -------------------------------------------
 
     async def _on_connection(
@@ -1044,6 +944,8 @@ class CheckpointDaemon:
     ) -> None:
         stream = ShapedStream(reader, writer, link=self.link,
                               time_scale=self.time_scale)
+        if self.on_stream is not None:
+            stream = self.on_stream(stream)
         task = asyncio.current_task()
         if task is not None:
             self._handlers.add(task)
@@ -1075,20 +977,6 @@ class CheckpointDaemon:
             if task is not None:
                 self._handlers.discard(task)
             await stream.close()
-
-    async def _send_ready(self, stream: ShapedStream, payload: bytes) -> None:
-        """Send a READY frame, applying any planned stall/truncation fault."""
-        stall = self._take_ready_stall()
-        if stall > 0:
-            self._count("daemon.injected_stalls")
-            await asyncio.sleep(stall)
-        cut = self._take_ready_truncation()
-        if cut > 0:
-            # Short READY, connection kept alive: the peer's next reads
-            # land mid-frame and desync instead of seeing a clean EOF.
-            self._count("daemon.injected_truncations")
-            payload = payload[: max(1, len(payload) - cut)]
-        await stream.send(payload)
 
     async def _send_error(self, stream: ShapedStream, exc: Exception) -> None:
         codec = FrameCodec()
@@ -1255,13 +1143,6 @@ class CheckpointDaemon:
 
     async def _answer_telemetry(self, stream: ShapedStream,
                                 codec: FrameCodec, hello: Frame) -> None:
-        if self._should_drop_telemetry():
-            # Telemetry poll loss: tear the probe connection down
-            # unanswered.  The aggregator must count a poll failure
-            # and carry on; accumulated history must not reset.
-            self._count("daemon.injected_telemetry_drops")
-            stream.abort()
-            return
         # Metrics probe: answer with the next sequence-numbered
         # snapshot and close — same passive shape as HEARTBEAT.
         self._count("daemon.telemetry_probes")
@@ -1355,20 +1236,18 @@ class CheckpointDaemon:
                 session=session.session_id,
                 replay=True,
             )
-            await self._send_ready(
-                stream,
+            await stream.send(
                 codec.encode_ready(session.round_no, session.applied_in_round,
-                                   False, True),
+                                   False, True)
             )
             await stream.send(codec.encode_result(session.result))
             return
 
         announce_follows, delta = self._plan_announce(session, hello.body)
-        await self._send_ready(
-            stream,
+        await stream.send(
             codec.encode_ready(
                 session.round_no, session.applied_in_round, announce_follows, False
-            ),
+            )
         )
         if announce_follows:
             with _span("daemon.announce", vm=session.vm_id) as announce_span:
@@ -1430,11 +1309,6 @@ class CheckpointDaemon:
                             # Disk pressure becomes socket backpressure
                             # when the write-behind queue is full.
                             await self._persist.throttle()
-                        if self._should_abort(session):
-                            round_span.set(received=received, aborted=True)
-                            self._count("daemon.injected_aborts")
-                            stream.abort()
-                            return
                     round_span.set(received=received)
             elif frame.type == TYPE_COMPLETE:
                 if self._persist is not None:
@@ -1499,15 +1373,7 @@ class CheckpointDaemon:
                     reused_from_store=session.reused_from_store,
                     rounds=session.round_no,
                 )
-                payload = codec.encode_result(result)
-                if self._should_abort_result():
-                    # Drop the link with the RESULT half-sent: the
-                    # session is committed, the source is left hanging.
-                    self._count("daemon.injected_aborts")
-                    await stream.send(payload[: max(1, len(payload) // 2)])
-                    stream.abort()
-                    return
-                await stream.send(payload)
+                await stream.send(codec.encode_result(result))
                 return
             else:
                 raise SinkProtocolError(

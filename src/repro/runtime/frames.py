@@ -59,7 +59,7 @@ import struct
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.core.protocol import ANNOUNCE_FRAME_OVERHEAD, WireFormat
+from repro.core.protocol import WireFormat
 
 TYPE_HELLO = 0x01
 TYPE_READY = 0x02

@@ -25,7 +25,7 @@ plus asyncio's write high-water mark.
 from __future__ import annotations
 
 import asyncio
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.net.link import Link
 
@@ -160,6 +160,14 @@ class ShapedStream:
             await self.writer.wait_closed()
         except (ConnectionError, OSError):  # pragma: no cover
             pass
+
+
+StreamHook = Callable[[ShapedStream], ShapedStream]
+"""Per-connection hook, the same on both ends of a migration: called
+with every freshly opened connection before any frame moves, it returns
+the stream the connection uses from then on — the same one (possibly
+reconfigured) or a wrapper.  The fault plane (:mod:`repro.chaos`)
+injects every wire fault here; None in production."""
 
 
 async def open_shaped_connection(

@@ -56,7 +56,7 @@ from repro.runtime.planner import (
     plan_dirty_round,
     plan_first_round,
 )
-from repro.runtime.shaping import ShapedStream, open_shaped_connection
+from repro.runtime.shaping import ShapedStream, StreamHook, open_shaped_connection
 
 _TRANSPORT_ERRORS = (
     ConnectionError,
@@ -189,10 +189,12 @@ class RuntimeConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     time_scale: float = 0.0
     chunk_bytes: int = 64 * 1024
-    on_stream: Optional[Callable[[ShapedStream], None]] = None
-    """Called with every freshly opened source-side connection, before
-    any frame is sent — the fault plane's hook point (``repro.chaos``
-    installs per-connection send faults here).  None in production."""
+    on_stream: Optional[StreamHook] = None
+    """Applied to every freshly opened source-side connection before
+    any frame is sent; the stream it returns carries the attempt.  The
+    daemon has the same hook (:data:`~repro.runtime.shaping.StreamHook`);
+    ``repro.chaos`` uses it to shape a migration's link.  None in
+    production."""
 
 
 @dataclass
@@ -257,6 +259,8 @@ class MigrationSource:
         self._plan = None
         self._feed_done = False
         self._counted: Dict[int, int] = {}
+        # The id this source minted and has not streamed under yet.
+        self._fresh_session: Optional[str] = self.session_id
         self._final_result: Optional[dict] = None
         self.result_generation: Optional[int] = None
 
@@ -341,11 +345,10 @@ class MigrationSource:
         messages the daemon never actually applied.  A new session id
         makes the daemon start a clean session (applied = 0) on the
         next :meth:`migrate`.  The planned rounds are kept (the plan is
-        a pure function of the VM state), and so is the per-message
-        payload accounting, so everything resent under the new session
-        is counted as retransmitted bytes rather than fresh payload.
+        a pure function of the VM state).
         """
         self.session_id = f"{self.state.vm_id}-{uuid.uuid4().hex[:12]}"
+        self._fresh_session = self.session_id
         self._final_result = None
         self.result_generation = None
 
@@ -368,6 +371,9 @@ class MigrationSource:
             mode=self.strategy.name,
             link=self.link.name if self.link else "unshaped",
         )
+        # Byte accounting is per call, like the metrics it feeds: a
+        # frame is retransmitted only if this call already counted it.
+        self._counted = {}
         with _span(
             "runtime.migrate",
             vm=self.state.vm_id,
@@ -487,7 +493,7 @@ class MigrationSource:
                 connect_timeout_s=cfg.connect_timeout_s,
             )
         if cfg.on_stream is not None:
-            cfg.on_stream(stream)
+            stream = cfg.on_stream(stream)
         try:
             recv = stream.recv_with_timeout(cfg.io_timeout_s)
             with _span("announce") as announce_span:
@@ -520,6 +526,17 @@ class MigrationSource:
 
                 ready = await expect_frame(self.codec, recv, TYPE_READY)
                 metrics.control_bytes += ready.wire_bytes
+                if self.session_id == self._fresh_session and (
+                    ready.completed or ready.applied or ready.round_no > 1
+                ):
+                    # Nothing was streamed under this minted session, so
+                    # the destination cannot have applied, advanced or
+                    # completed anything: this READY was read from
+                    # misaligned bytes (a truncated frame upstream).
+                    raise StreamDesyncError(
+                        f"fresh session got READY round={ready.round_no} "
+                        f"applied={ready.applied} completed={ready.completed}"
+                    )
                 if ready.completed:
                     # A previous attempt's COMPLETE landed; collect the
                     # result.
@@ -550,6 +567,7 @@ class MigrationSource:
                     announce_bytes=metrics.announce_bytes,
                 )
 
+            self._fresh_session = None
             await self._stream_rounds(
                 stream, metrics, dirty_feed,
                 resume_round=max(int(ready.round_no), 1),

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.chaos import FaultKind, StreamFault
 from repro.core.fingerprint import Fingerprint
 from repro.core.strategies import VECYCLE
 from repro.mem.pagestore import PageStore
@@ -24,7 +25,7 @@ from repro.runtime import (
     RuntimeConfig,
     SourceState,
 )
-from repro.runtime.daemon import SinkProtocolError, _FaultPlan
+from repro.runtime.daemon import SinkProtocolError
 from repro.runtime.frames import FrameCodec
 
 N = 256
@@ -52,7 +53,7 @@ async def _run_with_plan(plan, max_attempts=2):
     checkpoint, current, dirty = build_vm()
     async with CheckpointDaemon(pagestore=pagestore) as daemon:
         daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
-        daemon.install_fault_plan(plan)
+        plan.arm(daemon)
         source = MigrationSource(
             SourceState(
                 vm_id="vm",
@@ -90,7 +91,7 @@ def test_truncated_ready_desync_is_retried(cut):
     must retry — deterministically, for every truncation size.
     """
     outcome, telemetry = asyncio.run(
-        _run_with_plan(_FaultPlan(truncate_ready_bytes=cut, truncate_times=1))
+        _run_with_plan(StreamFault(FaultKind.TRUNCATE_READY, cut, times=1))
     )
     assert outcome.ok, f"cut={cut}: {outcome.error_code}: {outcome.error}"
     assert outcome.attempts == 2
@@ -101,13 +102,67 @@ def test_truncation_exhausting_attempts_reports_desync():
     """With no attempts left, the failure keeps its desync classification."""
     outcome, _ = asyncio.run(
         _run_with_plan(
-            _FaultPlan(truncate_ready_bytes=4, truncate_times=4),
+            StreamFault(FaultKind.TRUNCATE_READY, 4, times=4),
             max_attempts=1,
         )
     )
     assert not outcome.ok
     assert outcome.attempts == 1
     assert outcome.error_code in ("protocol", "desync")
+
+
+def test_ready_read_from_misaligned_bytes_is_a_desync():
+    """A READY cut by 3 bytes still parses — and was trusted.
+
+    Its tail comes from the ANNOUNCE behind it: ``applied`` ends in the
+    ANNOUNCE tag (3) and both flag bytes are zero.  Pre-fix the source
+    skipped three frames, then read the ANNOUNCE where it expected
+    RESULT and failed on attempt 1 with a non-retryable ``protocol``
+    error.  No frame was streamed under the session yet, so any READY
+    claiming progress is a desync: the executor retries it.
+    """
+    outcome, telemetry = asyncio.run(
+        _run_with_plan(StreamFault(FaultKind.TRUNCATE_READY, 3))
+    )
+    assert outcome.ok, f"{outcome.error_code}: {outcome.error}"
+    assert outcome.attempts == 2
+    assert telemetry.counter("daemon.injected_truncations").value == 1
+
+
+def test_executor_retry_after_partial_stream_accounts_bytes_once():
+    """A second ``migrate`` call must not count the first call's frames.
+
+    Pre-fix the per-frame accounting outlived the call that did it:
+    after the source gave up on a dropped connection and the executor
+    called ``migrate`` again, every resent frame counted as a
+    retransmission in a fresh metrics object with no payload and no
+    retries, and ``MigrationMetrics.validate`` raised ``ValueError``
+    out of the executor.
+    """
+
+    async def scenario():
+        pagestore = PageStore()
+        checkpoint, current, dirty = build_vm()
+        async with CheckpointDaemon(pagestore=pagestore) as daemon:
+            daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
+            StreamFault(FaultKind.DISCONNECT, 50).arm(daemon)
+            source = MigrationSource(
+                SourceState(vm_id="vm", hashes=current, pagestore=pagestore,
+                            dirty_slots=dirty),
+                VECYCLE,
+                config=RuntimeConfig(
+                    io_timeout_s=1.0, retry=RetryPolicy(max_attempts=1)
+                ),
+            )
+            return await _executor().run(
+                source, "dest", daemon.host, daemon.port
+            )
+
+    outcome = asyncio.run(scenario())
+    assert outcome.ok, f"{outcome.error_code}: {outcome.error}"
+    assert outcome.attempts == 2
+    assert outcome.metrics.retransmitted_bytes == 0
+    assert outcome.metrics.payload_bytes > 0
 
 
 # --- bug: mid-RESULT drop must not double-install the checkpoint ---
@@ -121,7 +176,7 @@ def test_mid_result_replay_installs_one_generation():
     a second generation or complete the session twice.
     """
     outcome, telemetry = asyncio.run(
-        _run_with_plan(_FaultPlan(mid_result=True, times=1))
+        _run_with_plan(StreamFault(FaultKind.MID_RESULT, times=1))
     )
     assert outcome.ok
     assert outcome.checkpoint_generation == 2  # install=1, migration=2
@@ -392,7 +447,7 @@ def test_stop_cancels_stalled_handlers_cleanly():
         daemon = CheckpointDaemon(pagestore=pagestore)
         await daemon.start()
         daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
-        daemon.install_fault_plan(_FaultPlan(stall_ready_s=30.0, stall_times=1))
+        StreamFault(FaultKind.STALL_OVER, 30.0, times=1).arm(daemon)
         reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
         codec = FrameCodec()
         writer.write(
@@ -433,9 +488,9 @@ def test_stop_cancels_stalled_handlers_cleanly():
 
 
 def test_telemetry_drop_knob_aborts_probe_and_counts():
-    """``drop_telemetry_times`` drops exactly N probes, visibly.
+    """A ``telemetry_loss`` wire fault drops exactly N probes, visibly.
 
-    The soak's ``telemetry_loss`` kind arms this knob; the contract is
+    The soak's ``telemetry_loss`` kind arms this fault; the contract is
     that the armed probe dies unanswered (aggregator counts a failure,
     keeps its history) while ``daemon.injected_telemetry_drops`` records
     the injection, and the very next probe succeeds.
@@ -448,7 +503,7 @@ def test_telemetry_drop_knob_aborts_probe_and_counts():
         registry = ClusterRegistry()
         aggregator = TelemetryAggregator(registry, poll_timeout_s=1.0)
         async with CheckpointDaemon(name="lossy") as daemon:
-            daemon.install_fault_plan(_FaultPlan(drop_telemetry_times=1))
+            StreamFault(FaultKind.TELEMETRY_LOSS, times=1).arm(daemon)
             registry.register("lossy", daemon.host, daemon.port)
             dropped = await aggregator.poll("lossy")
             recovered = await aggregator.poll("lossy")

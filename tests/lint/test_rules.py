@@ -143,25 +143,30 @@ class TestFaultPointsRule:
 
     def test_registry_extra_knob_is_flagged(self, project, mutate):
         mutated = project.text(FAULTPOINTS).replace(
-            '"drop_telemetry_times": "Abort this many TELEMETRY probes.",',
-            '"drop_telemetry_times": "Abort this many TELEMETRY probes.",\n'
+            '"slow_link": "Migration shaped over a modelled WAN link.",',
+            '"slow_link": "Migration shaped over a modelled WAN link.",\n'
             '    "phantom_knob": "Not actually implemented anywhere.",',
         )
+        assert mutated != project.text(FAULTPOINTS)
         findings = list(faults.check(mutate({FAULTPOINTS: mutated})))
         assert any("phantom_knob" in m for m in _messages(findings))
 
     def test_untested_point_is_flagged(self, project, mutate):
-        # Hide the only test referencing the knob: the rule demands
-        # every declared knob be exercised somewhere under tests/.
+        # Hide every test referencing the kind (by value, by constant,
+        # or through the FAULT_KINDS sweep): the rule demands every
+        # declared kind be exercised somewhere under tests/.
         hidden = {
             rel: None
             for rel in project.source_files("tests")
-            if "drop_telemetry_times" in (project.try_text(rel) or "")
+            if any(
+                alias in (project.try_text(rel) or "")
+                for alias in ("telemetry_loss", "TELEMETRY_LOSS", "FAULT_KINDS")
+            )
         }
-        assert hidden, "expected at least one test to reference the knob"
+        assert hidden, "expected at least one test to reference the kind"
         findings = list(faults.check(mutate(hidden)))
         assert any(
-            "drop_telemetry_times" in m and "not referenced" in m
+            "telemetry_loss" in m and "not referenced" in m
             for m in _messages(findings)
         )
 

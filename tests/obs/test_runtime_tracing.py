@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.chaos import FaultKind, StreamFault
 from repro.core.fingerprint import Fingerprint
 from repro.core.strategies import VECYCLE
 from repro.mem.pagestore import PageStore
@@ -97,7 +98,9 @@ def test_retry_span_recorded_on_disconnect():
     tracer = get_tracer()
     tracer.enable()
     metrics = asyncio.run(
-        _migrate_traced(daemon_setup=lambda d: d.inject_disconnect(10))
+        _migrate_traced(
+            daemon_setup=StreamFault(FaultKind.DISCONNECT, 10).arm
+        )
     )
     assert metrics.retries >= 1
     records = tracer.finished()

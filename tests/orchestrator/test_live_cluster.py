@@ -5,6 +5,7 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.chaos import FaultKind, StreamFault
 from repro.cluster.schedule import ping_pong_schedule, vdi_schedule
 from repro.core.fingerprint import Fingerprint
 from repro.core.strategies import QEMU
@@ -130,7 +131,7 @@ class TestMidResultDisconnect:
 
         async def main():
             async with CheckpointDaemon(state_dir=tmp_path) as daemon:
-                daemon.inject_disconnect(mid_result=True)
+                StreamFault(FaultKind.MID_RESULT).arm(daemon)
                 source = MigrationSource(
                     SourceState("vm", hashes, PageStore()),
                     QEMU,
@@ -167,7 +168,7 @@ class TestMidResultDisconnect:
 
         async def first_life():
             async with CheckpointDaemon(state_dir=tmp_path) as daemon:
-                daemon.inject_disconnect(mid_result=True)
+                StreamFault(FaultKind.MID_RESULT).arm(daemon)
                 source = MigrationSource(
                     SourceState("vm", hashes, PageStore()),
                     QEMU,

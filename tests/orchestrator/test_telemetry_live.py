@@ -5,6 +5,7 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.chaos import FaultKind, StreamFault
 from repro.cluster.schedule import ping_pong_schedule
 from repro.core.strategies import QEMU
 from repro.mem.pagestore import PageStore
@@ -177,7 +178,7 @@ class TestFlightRecorderAcceptance:
 
         async def main():
             async with CheckpointDaemon(name="flaky") as daemon:
-                daemon.inject_disconnect(after_messages=5)
+                StreamFault(FaultKind.DISCONNECT, 5).arm(daemon)
                 source = MigrationSource(
                     SourceState("vm", hashes, PageStore()),
                     QEMU,

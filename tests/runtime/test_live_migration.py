@@ -5,6 +5,7 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.chaos import FaultKind, StreamFault
 from repro.core.fingerprint import Fingerprint
 from repro.core.strategies import (
     DEDUP,
@@ -172,7 +173,7 @@ class TestFaultInjection:
         metrics, _ = asyncio.run(
             migrate_once(
                 VECYCLE, checkpoint, current, dirty,
-                daemon_setup=lambda d: d.inject_disconnect(after_messages=100),
+                daemon_setup=StreamFault(FaultKind.DISCONNECT, 100).arm,
             )
         )
         assert metrics.outcome == "completed"
@@ -184,9 +185,9 @@ class TestFaultInjection:
             asyncio.run(
                 migrate_once(
                     VECYCLE, checkpoint, current, dirty,
-                    daemon_setup=lambda d: d.inject_disconnect(
-                        after_messages=10, times=100
-                    ),
+                    daemon_setup=StreamFault(
+                        FaultKind.DISCONNECT, 10, times=100
+                    ).arm,
                 )
             )
         err = excinfo.value

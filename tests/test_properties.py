@@ -6,11 +6,9 @@ correctness under arbitrary mutation sequences.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.checkpoint import Checkpoint, ChecksumIndex
-from repro.core.fingerprint import Fingerprint
 from repro.core.protocol import WireFormat, first_round_traffic
 from repro.core.strategies import QEMU, VECYCLE
 from repro.core.transfer import Method, compute_transfer_set
